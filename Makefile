@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-smoke chaos trace serve-smoke triage scale scale-smoke clean
+.PHONY: all build test check bench bench-smoke chaos trace serve-smoke triage scale scale-smoke lisabench-check clean
 
 all: build
 
@@ -46,9 +46,18 @@ SCALE_TRACE_SPANS = corpus.synth counter:corpus.synth.cases
 # determinism, triage.* trace names), and the serve-daemon smoke
 # (overload shed, warm-restart byte identity, corrupted-snapshot cold
 # fallback, serve.* trace names), and the synthetic-corpus scale smoke
-# (generator determinism, zero-loss detection, corpus.synth trace names).
+# (generator determinism, zero-loss detection, corpus.synth trace names),
+# and the LISA benchmark's self-check (it builds against the library
+# APIs and asserts its known-answer verdicts).
 check:
-	dune build && dune runtest && dune exec bench/main.exe -- --experiment engine --smoke --trace trace-smoke.json && dune exec tools/trace_check.exe -- trace-smoke.json $(TRACE_SPANS) && dune exec bench/main.exe -- --experiment chaos --smoke && dune exec bench/main.exe -- --experiment solver --smoke && dune exec bench/main.exe -- --experiment triage --smoke --trace trace-triage-smoke.json && dune exec tools/trace_check.exe -- trace-triage-smoke.json $(TRIAGE_TRACE_SPANS) && $(MAKE) bench-smoke && $(MAKE) serve-smoke && $(MAKE) scale-smoke
+	dune build && dune runtest && dune exec bench/main.exe -- --experiment engine --smoke --trace trace-smoke.json && dune exec tools/trace_check.exe -- trace-smoke.json $(TRACE_SPANS) && dune exec bench/main.exe -- --experiment chaos --smoke && dune exec bench/main.exe -- --experiment solver --smoke && dune exec bench/main.exe -- --experiment triage --smoke --trace trace-triage-smoke.json && dune exec tools/trace_check.exe -- trace-triage-smoke.json $(TRIAGE_TRACE_SPANS) && $(MAKE) bench-smoke && $(MAKE) serve-smoke && $(MAKE) scale-smoke && $(MAKE) lisabench-check
+
+# The LISA benchmark's self-check (lisabench/README.md): builds the
+# benchmark from this checkout, checks BENCHMARK.json against the
+# metrics it prints, and runs every workload at 1x with its answers
+# checked (about 22 s).
+lisabench-check:
+	bash lisabench/run.sh --self-check
 
 # Serve-daemon acceptance: drive `lisa serve` over stdin JSONL with a
 # queue-depth-2 overload (one request must shed), restart warm from

@@ -507,9 +507,10 @@ let run_solver () =
           (fun v ->
             let p = Corpus.Registry.program_of registry system ~version:v in
             let g = Analysis.Callgraph.build p in
+            let index = lazy (Oracle.Test_select.index_of_tests p) in
             List.concat_map
               (fun rule ->
-                let pr = Engine.Checker.prepare ~graph:g p rule in
+                let pr = Engine.Checker.prepare ~graph:g ~index p rule in
                 match Engine.Checker.guard_evidence p pr with
                 | None -> []
                 | Some (condition, hits) ->

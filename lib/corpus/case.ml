@@ -69,11 +69,12 @@ let tickets (c : t) : Oracle.Ticket.t list =
   List.filter_map (fun (s, _, _, _) -> ticket_at c s) c.ticket_meta
   |> fun l -> l
 
-(** The ticket for the original incident — what LISA learns from. *)
+(** The ticket for the original incident — what LISA learns from.  Equal
+    to the head of {!tickets}, but only that ticket is built. *)
 let original_ticket (c : t) : Oracle.Ticket.t =
-  match tickets c with
-  | t :: _ -> t
-  | [] -> invalid_arg (Fmt.str "case %s has no tickets" c.case_id)
+  match List.find_map (fun (s, _, _, _) -> ticket_at c s) c.ticket_meta with
+  | Some t -> t
+  | None -> invalid_arg (Fmt.str "case %s has no tickets" c.case_id)
 
 let n_bugs (c : t) : int = List.length c.bug_ids
 

@@ -198,14 +198,19 @@ let prepared_target_methods (pr : prepared) : string list =
 let roots_of_condition (c : Smt.Formula.t) : string list =
   Smt.Formula.variables c |> List.map Symexec.Sym.root_of_path |> List.sort_uniq compare
 
-let select_tests (config : config) (p : Ast.program) (rule : Semantics.Rule.t)
+(* [index] is forced only when a tree is queried, so rules without
+   targets and the non-RAG selections never build it *)
+let select_tests (config : config) ~(index : Oracle.Tfidf.index Lazy.t)
+    (p : Ast.program) (rule : Semantics.Rule.t)
     (trees : Analysis.Paths.exec_tree list) : string list =
   match config.selection with
   | All_tests -> Interp.test_names p
   | Pseudo_random { seed; k } -> Oracle.Test_select.select_random p ~seed ~k
   | Rag k ->
       let sels =
-        List.concat_map (fun tree -> Oracle.Test_select.select p rule tree ~k) trees
+        List.concat_map
+          (fun tree -> Oracle.Test_select.select (Lazy.force index) rule tree ~k)
+          trees
       in
       let names = Oracle.Test_select.selected_tests sels in
       (* keep only scores within the top-k union; fall back to all tests if
@@ -479,9 +484,10 @@ let execute_lock_rule (config : config) (p : Ast.program) (pr : prepared)
 (* ------------------------------------------------------------------ *)
 
 (** Static phase: resolve targets, build execution trees, select tests.
-    [?graph] lets the engine share one call graph across all rules of a
-    program version instead of rebuilding it per rule. *)
-let prepare ?(config = default_config) ?graph (p : Ast.program)
+    [?graph] and [?index] let the engine share one call graph and one
+    test index ({!Oracle.Test_select.index_of_tests}) across all rules
+    of a program version instead of rebuilding them per rule. *)
+let prepare ?(config = default_config) ?graph ?index (p : Ast.program)
     (rule : Semantics.Rule.t) : prepared =
   Telemetry.Trace.with_span ~cat:"checker"
     ~args:[ ("rule", rule.Semantics.Rule.rule_id) ]
@@ -495,7 +501,12 @@ let prepare ?(config = default_config) ?graph (p : Ast.program)
         match graph with Some g -> g | None -> Analysis.Callgraph.build p
       in
       let trees = List.map (Analysis.Paths.exec_tree p g) target_sids in
-      let tests = select_tests config p rule trees in
+      let index =
+        match index with
+        | Some ix -> ix
+        | None -> lazy (Oracle.Test_select.index_of_tests p)
+      in
+      let tests = select_tests config ~index p rule trees in
       {
         prep_rule = rule;
         prep_tests = tests;
@@ -545,12 +556,14 @@ let guard_evidence ?(config = default_config) (p : Ast.program) (pr : prepared)
         ( pg_condition,
           List.concat_map (fun r -> r.Symexec.Concolic.r_hits) runs )
 
-(** Check a whole rulebook. *)
+(** Check a whole rulebook: one call graph and one test index for all
+    rules. *)
 let check_book ?(config = default_config) (p : Ast.program)
     (book : Semantics.Rulebook.t) : rule_report list =
-  let g = Analysis.Callgraph.build p in
+  let graph = Analysis.Callgraph.build p in
+  let index = lazy (Oracle.Test_select.index_of_tests p) in
   List.map
-    (fun rule -> execute ~config p (prepare ~config ~graph:g p rule))
+    (fun rule -> execute ~config p (prepare ~config ~graph ~index p rule))
     (Semantics.Rulebook.rules book)
 
 let report_summary (r : rule_report) : string =

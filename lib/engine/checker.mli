@@ -111,11 +111,15 @@ val prepared_static_paths : prepared -> Analysis.Paths.exec_path list
 (** Qualified names of the methods holding a resolved target statement. *)
 val prepared_target_methods : prepared -> string list
 
-(** Static phase.  [?graph] shares a prebuilt call graph across the rules
-    of one program version. *)
+(** Static phase.  [?graph] and [?index] share a prebuilt call graph and
+    a test index ({!Oracle.Test_select.index_of_tests}) across the rules
+    of one program version.  The index is forced only by a RAG selection
+    over at least one execution tree, on the calling domain; without
+    [?index], each call builds its own. *)
 val prepare :
   ?config:config ->
   ?graph:Analysis.Callgraph.t ->
+  ?index:Oracle.Tfidf.index Lazy.t ->
   Ast.program ->
   Semantics.Rule.t ->
   prepared
@@ -149,7 +153,7 @@ val guard_evidence :
 val check_rule :
   ?config:config -> Ast.program -> Semantics.Rule.t -> rule_report
 
-(** Check a whole rulebook (one shared call graph). *)
+(** Check a whole rulebook (one shared call graph and test index). *)
 val check_book :
   ?config:config -> Ast.program -> Semantics.Rulebook.t -> rule_report list
 

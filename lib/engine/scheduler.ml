@@ -203,34 +203,44 @@ let enforce (t : t) (p : Ast.program) (book : Semantics.Rulebook.t) :
   Fun.protect ~finally:(fun () -> Smt.Memo.set_enabled memo_was) @@ fun () ->
   let rules = Semantics.Rulebook.rules book in
   let program_fp = Fingerprint.program p in
-  (* layer 1: incremental pre-pass against the previous version *)
+  (* layer 1: incremental pre-pass against the previous version.  The
+     diff is forced at the first rule the memory has an entry for, so a
+     book the last enforcement never saw (e.g. another system's) pays
+     nothing for it. *)
   let reused, fresh =
     Trace.with_span ~cat:"engine" "engine.incremental" @@ fun () ->
     match t.last with
     | Some mem when cfg.incremental ->
         let changes =
-          if mem.mem_fp = program_fp then no_change_summary
-          else Incremental.summarize ~prev:mem.mem_program ~cur:p
+          lazy
+            (if mem.mem_fp = program_fp then no_change_summary
+             else Incremental.summarize ~prev:mem.mem_program ~cur:p)
         in
         List.partition_map
           (fun (rule : Semantics.Rule.t) ->
             match List.assoc_opt rule.Semantics.Rule.rule_id mem.mem_entries with
             | Some (region, report)
-              when not (Incremental.rule_affected changes ~region rule) ->
+              when not
+                     (Incremental.rule_affected (Lazy.force changes) ~region
+                        rule) ->
                 Either.Left (rule.Semantics.Rule.rule_id, (region, report))
             | _ -> Either.Right rule)
           rules
     | _ -> ([], rules)
   in
   Stats.bump ~by:(List.length reused) t.recorder Stats.Incremental_reuses;
-  (* layer 2: prepare the rest and consult the report cache *)
+  (* layer 2: prepare the rest and consult the report cache.  One call
+     graph and one test index serve every rule of this version; the
+     index is built on first use, so lock-only books and non-RAG
+     selections never pay for it. *)
   let prepared_rules =
     Trace.with_span ~cat:"engine" "engine.prepare" @@ fun () ->
     let graph = Analysis.Callgraph.build p in
+    let index = lazy (Oracle.Test_select.index_of_tests p) in
     let methods = Fingerprint.methods p in
     List.map
       (fun rule ->
-        let pr = Checker.prepare ~config:cfg.checker ~graph p rule in
+        let pr = Checker.prepare ~config:cfg.checker ~graph ~index p rule in
         let key = Fingerprint.job_key ~config:cfg.checker ~graph ~methods pr in
         let region = Fingerprint.region graph pr in
         (Job.make ~program_fp ~key pr, region))

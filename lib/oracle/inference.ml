@@ -114,10 +114,9 @@ let target_of_guard (g : Diffing.Prog_diff.added_guard) : Semantics.Rule.target_
       | st :: _ -> Some (Semantics.Rule.Stmt_text (Pretty.stmt_head_to_string st))
       | [] -> None)
 
-let state_guard_rules (t : Ticket.t) (high_level : string) :
+let state_guard_rules (t : Ticket.t) ~(buggy : Ast.program)
+    ~(patched : Ast.program) (high_level : string) :
     Semantics.Rule.t list * string list =
-  let buggy = Ticket.buggy_program t in
-  let patched = Ticket.patched_program t in
   let d = Diffing.Prog_diff.compare_programs buggy patched in
   let guards = Diffing.Prog_diff.all_added_guards d in
   let reasoning = ref [] in
@@ -163,10 +162,8 @@ let state_guard_rules (t : Ticket.t) (high_level : string) :
   in
   (rules, List.rev !reasoning)
 
-let lock_rules (t : Ticket.t) (high_level : string) :
-    Semantics.Rule.t list * string list =
-  let buggy = Ticket.buggy_program t in
-  let patched = Ticket.patched_program t in
+let lock_rules (t : Ticket.t) ~(buggy : Ast.program) ~(patched : Ast.program)
+    (high_level : string) : Semantics.Rule.t list * string list =
   let key (v : Analysis.Lockscope.violation) =
     (v.Analysis.Lockscope.v_method, v.Analysis.Lockscope.v_op)
   in
@@ -299,8 +296,13 @@ let infer ?(noise = no_noise) (t : Ticket.t) : inferred =
         degraded_inference t "injected budget exhaustion"
     | None ->
         let high_level = first_sentence t.Ticket.discussion in
-        let guard_rules, guard_reasoning = state_guard_rules t high_level in
-        let lock_rules, lock_reasoning = lock_rules t high_level in
+        (* each side of the fix is parsed once, for both rule kinds *)
+        let buggy = Ticket.buggy_program t in
+        let patched = Ticket.patched_program t in
+        let guard_rules, guard_reasoning =
+          state_guard_rules t ~buggy ~patched high_level
+        in
+        let lock_rules, lock_reasoning = lock_rules t ~buggy ~patched high_level in
         let rules = apply_noise noise t.Ticket.ticket_id (guard_rules @ lock_rules) in
         Resilience.Breaker.success Resilience.Fault.Oracle;
         {

@@ -50,12 +50,12 @@ let query_of_path (rule : Semantics.Rule.t) (ep : Analysis.Paths.exec_path) : st
   in
   String.concat " " [ chain; decisions; rule.Semantics.Rule.description ]
 
-(** Select the [k] most relevant tests for each path of an execution tree.
-    Returns one selection per path (the concolic engine then uses the union
-    of the selected tests as its concrete inputs). *)
-let select (p : Ast.program) (rule : Semantics.Rule.t)
+(** Select the [k] most relevant tests for each path of an execution tree,
+    querying [ix], the {!index_of_tests} of the program the tree was built
+    from.  Returns one selection per path (the concolic engine then uses
+    the union of the selected tests as its concrete inputs). *)
+let select (ix : Tfidf.index) (rule : Semantics.Rule.t)
     (tree : Analysis.Paths.exec_tree) ~(k : int) : selection list =
-  let ix = index_of_tests p in
   List.map
     (fun ep ->
       { sel_path = ep; sel_tests = Tfidf.top_k ix ~query:(query_of_path rule ep) ~k })

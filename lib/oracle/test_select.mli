@@ -14,9 +14,11 @@ val index_of_tests : Minilang.Ast.program -> Tfidf.index
     conditions, and the rule's description. *)
 val query_of_path : Semantics.Rule.t -> Analysis.Paths.exec_path -> string
 
-(** Top-[k] tests per path of an execution tree. *)
+(** Top-[k] tests per path of an execution tree, queried against the
+    {!index_of_tests} of the tree's program.  Build that index once per
+    program version and share it across rules and trees. *)
 val select :
-  Minilang.Ast.program ->
+  Tfidf.index ->
   Semantics.Rule.t ->
   Analysis.Paths.exec_tree ->
   k:int ->

@@ -112,6 +112,19 @@ let test_system_source_deterministic () =
       Alcotest.(check bool) (system ^ " deterministic assembly") true (String.equal a b))
     Corpus.Registry.systems
 
+(* [original_ticket] builds only the first ticket; it must be the one
+   [tickets] lists first *)
+let test_original_ticket_is_first () =
+  List.iter
+    (fun (c : Corpus.Case.t) ->
+      let first = List.hd (Corpus.Case.tickets c) in
+      Alcotest.(check bool)
+        (c.Corpus.Case.case_id ^ " original ticket")
+        true
+        (Corpus.Case.original_ticket c = first))
+    (Corpus.Registry.all_cases
+    @ (Corpus.Synth.registry ~scale:1 ()).Corpus.Registry.cases)
+
 (* ------------------------------------------------------------------ *)
 (* Random-workload fuzzing of the fixed releases                       *)
 (* ------------------------------------------------------------------ *)
@@ -155,6 +168,8 @@ let suite =
         Alcotest.test_case "unknown-bug cases" `Quick test_unknown_bug_cases;
         Alcotest.test_case "commit history" `Quick test_commit_history_mentions_tickets;
         Alcotest.test_case "deterministic assembly" `Quick test_system_source_deterministic;
+        Alcotest.test_case "original ticket is the first" `Quick
+          test_original_ticket_is_first;
       ] );
     ("corpus.fuzz", List.map QCheck_alcotest.to_alcotest fuzz_tests);
   ]

@@ -499,6 +499,31 @@ let test_fastpath_equals_full_jobs4 () =
   Alcotest.(check (list string))
     "identical reports, fast path on vs off, jobs=4" off on_
 
+(* One engine scans every system of a registry at every scan version
+   (so system switches reach the lazy incremental diff), sharing one
+   call graph and one test index per version; each report must render
+   exactly as [Checker.check_rule] renders it with nothing shared. *)
+let enforce_equals_check_rule (registry : Corpus.Registry.t) () =
+  Memo.reset ();
+  let engine = Engine.Scheduler.create () in
+  List.iter
+    (fun system ->
+      let book = Lisa.System_scan.learn_system_book ~registry system in
+      List.iter
+        (fun v ->
+          let p = Corpus.Registry.program_of registry system ~version:v in
+          let enforced = Engine.Scheduler.enforce engine p book in
+          let single =
+            List.map (Engine.Checker.check_rule p) (Semantics.Rulebook.rules book)
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s v%d" system v)
+            (List.map Lisa.Report.render_rule_report single)
+            (List.map Lisa.Report.render_rule_report enforced))
+        registry.Corpus.Registry.scan_versions)
+    registry.Corpus.Registry.systems;
+  Memo.reset ()
+
 (* The fault-tolerance contract must survive the trie checker (on by
    default): one-seed zookeeper chaos smoke, all invariants green. *)
 let test_chaos_smoke_with_trie () =
@@ -560,6 +585,10 @@ let suite =
         Alcotest.test_case "same version twice reused" `Quick test_same_version_twice_all_reused;
         Alcotest.test_case "report cache without incremental" `Quick test_report_cache_without_incremental;
         Alcotest.test_case "invalidate forgets" `Quick test_invalidate_forgets;
+        Alcotest.test_case "enforce == check_rule, builtin" `Quick
+          (enforce_equals_check_rule Corpus.Registry.builtin);
+        Alcotest.test_case "enforce == check_rule, synth 1x" `Quick
+          (enforce_equals_check_rule (Corpus.Synth.registry ~scale:1 ()));
       ] );
     ( "engine.trie",
       [

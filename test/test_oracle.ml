@@ -75,6 +75,39 @@ let test_inference_deterministic () =
     (List.map Semantics.Rule.to_string a.Oracle.Inference.inf_rules)
     (List.map Semantics.Rule.to_string b.Oracle.Inference.inf_rules)
 
+(* MD5 of [Inference.to_json] for every builtin original ticket: how
+   [infer] computes its answer may change, the rules, reasoning and JSON
+   text may not. *)
+let builtin_json_digests =
+  [
+    "ZK-1208 0eed26f3d96d1fc38f381d6dc6c3b0d2";
+    "ZK-2201 7f4c68b795e3376a4e1ab40e6bc5e7a9";
+    "ZK-2471 dfb576e74f87d1d026ebb9acf59eb6a2";
+    "ZK-2593 212325cfb2885908ddfd2908e74600cb";
+    "ZK-2722 cbffc0784a6c7e54b0f2c6cc40595630";
+    "HBASE-27671 59c7bb390aff82ae18114a4ca11a3a19";
+    "HBASE-21504 3401cffeb83b0bfeb8b942fcc2f8620d";
+    "HBASE-22380 b66c11070eda9481ed847b45d8051337";
+    "HBASE-20559 1f1c7a71436ad491dfd1d8561dee5fa6";
+    "HDFS-13924 5121563b6cc687ce04608300325712c3";
+    "HDFS-14402 50422d1c275a37467942d92c4ca9b9ed";
+    "HDFS-15182 572e2ed7dd9de75a7b883a2808e8030f";
+    "HDFS-14273 ba28f83c667b0cfeb714310340139cce";
+    "CASSANDRA-13817 f489ff4ebe71d0aa8521495fac57b1eb";
+    "CASSANDRA-12653 7f3ddfd18151df0255a7da69fa1d1a82";
+    "CASSANDRA-14935 75bce2561ad828ba54946380f05d9030";
+  ]
+
+let test_inference_json_pinned () =
+  Alcotest.(check (list string))
+    "to_json digests" builtin_json_digests
+    (List.map
+       (fun c ->
+         let t = Corpus.Case.original_ticket c in
+         let json = Oracle.Inference.to_json (Oracle.Inference.infer t) in
+         t.Oracle.Ticket.ticket_id ^ " " ^ Digest.to_hex (Digest.string json))
+       Corpus.Registry.all_cases)
+
 let test_inference_lock_case () =
   let t = Corpus.Case.original_ticket (List.nth Corpus.Zookeeper.cases 1) in
   let inf = Oracle.Inference.infer t in
@@ -203,7 +236,8 @@ let test_rag_selection_on_corpus () =
   let g = Analysis.Callgraph.build p in
   let targets = Semantics.Rulebook.resolve_targets p (Option.get (Semantics.Rule.target (Semantics.Rule.generalize rule))) in
   let tree = Analysis.Paths.exec_tree p g (snd (List.hd targets)).Minilang.Ast.sid in
-  let sels = Oracle.Test_select.select p rule tree ~k:3 in
+  let ix = Oracle.Test_select.index_of_tests p in
+  let sels = Oracle.Test_select.select ix rule tree ~k:3 in
   let names = Oracle.Test_select.selected_tests sels in
   Alcotest.(check bool) "selected some tests" true (names <> []);
   Alcotest.(check bool)
@@ -233,6 +267,7 @@ let suite =
         Alcotest.test_case "recovers the paper rule" `Quick test_inference_recovers_paper_rule;
         Alcotest.test_case "deterministic" `Quick test_inference_deterministic;
         Alcotest.test_case "lock case" `Quick test_inference_lock_case;
+        Alcotest.test_case "builtin json pinned" `Quick test_inference_json_pinned;
         Alcotest.test_case "json shape" `Quick test_inference_json_shape;
         Alcotest.test_case "reasoning anchored" `Quick test_inference_reasoning_anchored;
       ] );
