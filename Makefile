@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-smoke chaos trace serve-smoke triage scale scale-smoke lisabench-check clean
+.PHONY: all build test check bench bench-smoke bench-pair chaos trace serve-smoke triage scale scale-smoke lisabench-check clean
 
 all: build
 
@@ -58,6 +58,19 @@ check:
 # checked (about 22 s).
 lisabench-check:
 	bash lisabench/run.sh --self-check
+
+# Compare two checkouts on one LISA benchmark workload in alternating
+# pairs (tools/bench_pair.sh): each side runs its own lisabench/run.sh,
+# and the table gives every end-to-end metric's median, quartiles and
+# pair wins/losses.  BASE is required, e.g.
+#   make bench-pair BASE=../lisa-parent WORKLOAD=scan-synth SEED=7 PAIRS=10
+CHANGE ?= .
+WORKLOAD ?= scan-synth
+SEED ?= 42
+PAIRS ?= 10
+RUN_SECONDS ?= 25
+bench-pair:
+	bash tools/bench_pair.sh --base "$(BASE)" --change "$(CHANGE)" --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS) --seconds $(RUN_SECONDS) --out "$(OUT)"
 
 # Serve-daemon acceptance: drive `lisa serve` over stdin JSONL with a
 # queue-depth-2 overload (one request must shed), restart warm from

@@ -1001,11 +1001,7 @@ let run_triage () =
           r.Lisa.System_scan.sys_rows)
       results
   in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
+  let contains = Diffing.Textutil.contains_sub in
   (* the noise marker lands in the rule id before generalization, so a
      corrupted rule reads e.g. HBASE-22380.g29.flip.gen; weakened rules
      stay genuine (their violations are a subset of the baseline's) *)

@@ -1,17 +1,15 @@
 (** Small text helpers shared by the diffing and oracle layers. *)
 
 (** [contains_sub haystack needle] is true iff [needle] occurs in
-    [haystack] as a contiguous substring. *)
+    [haystack] as a contiguous substring; the empty needle occurs in
+    every haystack.  Compares in place, allocating nothing. *)
 let contains_sub (haystack : string) (needle : string) : bool =
   let nh = String.length haystack and nn = String.length needle in
-  if nn = 0 then true
-  else
-    let rec go i =
-      if i + nn > nh then false
-      else if String.sub haystack i nn = needle then true
-      else go (i + 1)
-    in
-    go 0
+  let rec matches_at i j =
+    j = nn || (String.unsafe_get haystack (i + j) = String.unsafe_get needle j && matches_at i (j + 1))
+  in
+  let rec go i = i + nn <= nh && (matches_at i 0 || go (i + 1)) in
+  go 0
 
 (** Lower-case ASCII copy of a string. *)
 let lowercase = String.lowercase_ascii

@@ -1,6 +1,7 @@
 (** Small text helpers shared by the diffing and oracle layers. *)
 
-(** Contiguous-substring test. *)
+(** Contiguous-substring test; the empty needle occurs in every
+    haystack. *)
 val contains_sub : string -> string -> bool
 
 (** Lower-case ASCII copy. *)

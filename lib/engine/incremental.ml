@@ -67,13 +67,10 @@ let summarize ~(prev : Ast.program) ~(cur : Ast.program) : change_summary =
     ch_stmt_texts = List.sort_uniq compare stmt_texts;
   }
 
-(* does a statement's printed head mention the target spec? *)
+(* does a statement's printed head mention the target spec?  An empty
+   target text mentions nothing. *)
 let stmt_matches_target (spec : Semantics.Rule.target_spec) (text : string) : bool =
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    nn > 0 && go 0
-  in
+  let contains hay needle = needle <> "" && Diffing.Textutil.contains_sub hay needle in
   match spec with
   | Semantics.Rule.Call_to { callee; _ } -> contains text (callee ^ "(")
   | Semantics.Rule.Stmt_text t -> contains text t

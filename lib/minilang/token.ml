@@ -98,8 +98,15 @@ let keyword_table : (string * t) list =
     ("any", KW_ANY);
   ]
 
-let of_ident s =
-  match List.assoc_opt s keyword_table with Some kw -> kw | None -> IDENT s
+module Keywords = Hashtbl.Make (String)
+
+(* Built once and only read afterwards, so domains may share it. *)
+let keywords : t Keywords.t =
+  let tbl = Keywords.create 64 in
+  List.iter (fun (s, kw) -> Keywords.replace tbl s kw) keyword_table;
+  tbl
+
+let of_ident s = match Keywords.find_opt keywords s with Some kw -> kw | None -> IDENT s
 
 let to_string = function
   | INT n -> string_of_int n

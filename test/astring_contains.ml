@@ -1,13 +1,4 @@
-(* Minimal substring search used by test assertions (we do not depend on
-   astring). *)
+(* Substring search used by test assertions (we do not depend on
+   astring): the library's allocation-free search. *)
 
-let contains (haystack : string) (needle : string) : bool =
-  let nh = String.length haystack and nn = String.length needle in
-  if nn = 0 then true
-  else
-    let rec go i =
-      if i + nn > nh then false
-      else if String.sub haystack i nn = needle then true
-      else go (i + 1)
-    in
-    go 0
+let contains : string -> string -> bool = Diffing.Textutil.contains_sub

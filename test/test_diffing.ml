@@ -168,7 +168,14 @@ let test_textutil_tokens () =
     [ "create"; "ephemeral"; "node"; "on"; "closing"; "session" ]
     (Textutil.word_tokens "createEphemeralNode on_closing  session!");
   Alcotest.(check bool) "contains_sub" true (Textutil.contains_sub "hello world" "lo wo");
-  Alcotest.(check bool) "not contains" false (Textutil.contains_sub "hello" "xyz")
+  Alcotest.(check bool) "not contains" false (Textutil.contains_sub "hello" "xyz");
+  Alcotest.(check bool) "empty needle" true (Textutil.contains_sub "hello" "");
+  Alcotest.(check bool) "both empty" true (Textutil.contains_sub "" "");
+  Alcotest.(check bool) "needle longer than haystack" false (Textutil.contains_sub "lo" "hello");
+  Alcotest.(check bool) "needle equals haystack" true (Textutil.contains_sub "hello" "hello");
+  Alcotest.(check bool) "at the end" true (Textutil.contains_sub "hello" "llo");
+  Alcotest.(check bool) "partial match at the end" false (Textutil.contains_sub "hello" "lox");
+  Alcotest.(check bool) "overlapping prefix" true (Textutil.contains_sub "aaab" "aab")
 
 let suite =
   [

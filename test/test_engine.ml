@@ -174,6 +174,30 @@ let test_disjoint_region_unaffected () =
              };
        })
 
+let test_target_text_matching () =
+  let ch =
+    { Engine.Incremental.ch_methods = []; ch_stmt_texts = [ "x = f(y);"; "return z;" ] }
+  in
+  let rule = (Lazy.force a_prepared).Engine.Checker.prep_rule in
+  let affected target =
+    Engine.Incremental.rule_affected ch ~region:[]
+      {
+        rule with
+        Semantics.Rule.body = Semantics.Rule.State_guard { target; condition = Formula.tru };
+      }
+  in
+  Alcotest.(check bool) "text inside a head" true (affected (Semantics.Rule.Stmt_text "f(y)"));
+  Alcotest.(check bool) "empty text matches nothing" false (affected (Semantics.Rule.Stmt_text ""));
+  Alcotest.(check bool)
+    "text longer than every head" false
+    (affected (Semantics.Rule.Stmt_text "return z; return z;"));
+  Alcotest.(check bool)
+    "call target" true
+    (affected (Semantics.Rule.Call_to { callee = "f"; in_method = None }));
+  Alcotest.(check bool)
+    "call target needs the parenthesis" false
+    (affected (Semantics.Rule.Call_to { callee = "z"; in_method = None }))
+
 (* ------------------------------------------------------------------ *)
 (* Generic cache                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -560,6 +584,7 @@ let suite =
         Alcotest.test_case "version bump changes" `Quick test_version_bump_changes;
         Alcotest.test_case "lock rules always affected" `Quick test_lock_rule_always_affected;
         Alcotest.test_case "disjoint region reused" `Quick test_disjoint_region_unaffected;
+        Alcotest.test_case "target text matching" `Quick test_target_text_matching;
       ] );
     ( "engine.cache",
       [ Alcotest.test_case "counters and bounds" `Quick test_cache_counts_and_bounds ] );

@@ -92,6 +92,178 @@ let test_lexer_error () =
   | _ -> Alcotest.fail "expected lexer error"
   | exception Lexer.Error (_, loc) -> Alcotest.(check int) "error column" 3 loc.Loc.col
 
+let lex_error src =
+  match Lexer.tokenize src with
+  | _ -> Alcotest.failf "expected a lexer error on %S" src
+  | exception Lexer.Error (m, loc) -> m ^ " @ " ^ Loc.to_string loc
+
+let test_lexer_error_messages () =
+  List.iter
+    (fun (src, expected) -> Alcotest.(check string) (Printf.sprintf "%S" src) expected (lex_error src))
+    [
+      ("x /* abc", "unterminated block comment @ <string>:1:3");
+      ("x /* a\n b *", "unterminated block comment @ <string>:1:3");
+      ("\"abc", "unterminated string literal @ <string>:1:1");
+      ("\"ok\" \"a\nb", "unterminated string literal @ <string>:1:6");
+      ("\"abc\\", "unterminated escape @ <string>:1:1");
+      ("\"a\\q\"", "bad escape '\\q' @ <string>:1:4");
+      ("a & b", "expected '&&' @ <string>:1:3");
+      ("a &", "expected '&&' @ <string>:1:3");
+      ("a | b", "expected '||' @ <string>:1:3");
+      ("a |", "expected '||' @ <string>:1:3");
+      ("x # y", "unexpected character '#' @ <string>:1:3");
+      ("x\n  @", "unexpected character '@' @ <string>:2:3");
+      ("\xc3\xa9", "unexpected character '\\195' @ <string>:1:1");
+    ]
+
+let locs src =
+  List.map
+    (fun (lt : Lexer.located) ->
+      Printf.sprintf "%s %d:%d" (Token.to_string lt.Lexer.tok) lt.Lexer.loc.Loc.line
+        lt.Lexer.loc.Loc.col)
+    (Lexer.tokenize src)
+
+let test_lexer_columns () =
+  (* '\r' and '\t' each count as one column; only '\n' starts a line *)
+  Alcotest.(check (list string))
+    "crlf and tabs"
+    [ "a 1:1"; "b 2:1"; "c 2:3"; "d 3:3"; "<eof> 3:4" ]
+    (locs "a\r\nb\tc\r\n\t\td");
+  Alcotest.(check (list string)) "lone cr" [ "a 1:1"; "b 1:3"; "<eof> 1:4" ] (locs "a\rb");
+  Alcotest.(check (list string))
+    "lines inside a block comment" [ "y 3:5"; "<eof> 3:6" ] (locs "/* x\n\r\n */ y")
+
+let test_lexer_int_range () =
+  (match Lexer.tokenize "4611686018427387903" with
+  | { tok = Token.INT n; _ } :: _ -> Alcotest.(check int) "max_int lexes" max_int n
+  | _ -> Alcotest.fail "expected an integer token");
+  List.iter
+    (fun (src, expected) -> Alcotest.(check string) src expected (lex_error src))
+    [
+      ("4611686018427387904", "integer literal out of range @ <string>:1:1");
+      ("x = 99999999999999999999;", "integer literal out of range @ <string>:1:5");
+    ];
+  match Parser.program "method f(): int {\n  return 99999999999999999999;\n}" with
+  | _ -> Alcotest.fail "expected a lexer error"
+  | exception Lexer.Error (m, loc) ->
+      Alcotest.(check string) "program" "integer literal out of range @ <string>:2:10"
+        (m ^ " @ " ^ Loc.to_string loc)
+
+let test_keywords () =
+  List.iter
+    (fun (kw, tok) ->
+      Alcotest.(check bool) kw true (Token.equal tok (Token.of_ident kw));
+      Alcotest.(check string) kw kw (Token.to_string tok))
+    Token.keyword_table;
+  List.iter
+    (fun s -> Alcotest.(check bool) s true (Token.equal (Token.IDENT s) (Token.of_ident s)))
+    [ "Class"; "classes"; "i"; "nul"; "_"; "any1"; "voidx"; "" ]
+
+(* ------------------------------------------------------------------ *)
+(* Front-end pins                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Report-cache keys, the incremental diff and the test index are all
+   computed from printed text, so the lexer and printer must keep every
+   token, location and byte.  The digests were taken before either was
+   rewritten for speed; a mismatch changes every key computed from them. *)
+
+let builtin_stage_sources () =
+  List.concat_map
+    (fun (c : Corpus.Case.t) ->
+      List.init c.Corpus.Case.n_stages (fun s ->
+          (Printf.sprintf "%s-s%d.mj" c.Corpus.Case.case_id s, c.Corpus.Case.source s)))
+    Corpus.Registry.all_cases
+
+let synth_releases () =
+  let reg = Corpus.Synth.registry ~seed:42 ~scale:1 () in
+  List.concat_map
+    (fun system ->
+      List.map
+        (fun v ->
+          (Printf.sprintf "%s-v%d.mj" system v, Corpus.Registry.source_of reg system ~version:v))
+        reg.Corpus.Registry.scan_versions)
+    reg.Corpus.Registry.systems
+
+(* Every construct the printer knows, string escapes and redundant
+   parentheses included. *)
+let edge_source =
+  "class A {\n  field x: int = -1;\n  field s: str = \"a\\\"b\\\\c\\nd\\te\";\n  field l: list;\n  method m(y: int, o: any): bool {\n    if (!(y < 1) && (y + 2) * 3 == 4 || y % 2 != 0 && -(y - 1) > 0) { return true; }\n    else if (y == 7) { y = 8; } else {\n      while (y >= 0) { y = y - (1 - 2) / 3; if (y <= 2) { break; } else { continue; } }\n    }\n    try { throw new A(); } catch (e) { synchronized (this) { this.x = -this.x; } }\n    assert ((y > 0) == (o != null), \"pos\\n\");\n    return false;\n  }\n}\nmethod f(): void { var q: map = null; var z: int; f(); A.b.c(1, 2).d = 3; return; }\n"
+
+let edge_printed =
+  "class A {\n  field x: int = -1;\n  field s: str = \"a\\\"b\\\\c\\nd\\te\";\n  field l: list;\n  method m(y: int, o: any): bool {\n    if (!(y < 1) && (y + 2) * 3 == 4 || y % 2 != 0 && -(y - 1) > 0) {\n      return true;\n    } else {\n      if (y == 7) {\n        y = 8;\n      } else {\n        while (y >= 0) {\n          y = y - (1 - 2) / 3;\n          if (y <= 2) {\n            break;\n          } else {\n            continue;\n          }\n        }\n      }\n    }\n    try {\n      throw new A();\n    } catch (e) {\n      synchronized (this) {\n        this.x = -this.x;\n      }\n    }\n    assert ((y > 0) == (o != null), \"pos\\n\");\n    return false;\n  }\n}\n\nmethod f() {\n  var q: map = null;\n  var z: int;\n  f();\n  A.b.c(1, 2).d = 3;\n  return;\n}\n"
+
+let token_repr = function
+  | Token.INT n -> "INT " ^ string_of_int n
+  | Token.STRING s -> "STRING " ^ Printf.sprintf "%S" s
+  | Token.IDENT s -> "IDENT " ^ s
+  | t -> Token.to_string t
+
+(* MD5 of the (token, line, col) triples of every source. *)
+let token_stream_digest sources =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (file, src) ->
+      List.iter
+        (fun (lt : Lexer.located) ->
+          Buffer.add_string buf
+            (Printf.sprintf "%s@%s:%d:%d\n" (token_repr lt.Lexer.tok) lt.Lexer.loc.Loc.file
+               lt.Lexer.loc.Loc.line lt.Lexer.loc.Loc.col))
+        (Lexer.tokenize ~file src))
+    sources;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* MD5 of [program_to_string], every [method_to_string] and every
+   [stmt_head_to_string] of every source. *)
+let printed_digest sources =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (file, src) ->
+      let p = Parser.program ~file src in
+      Buffer.add_string buf (Pretty.program_to_string p);
+      List.iter
+        (fun (_, m) ->
+          Buffer.add_string buf (Pretty.method_to_string m);
+          List.iter
+            (fun st ->
+              Buffer.add_char buf '\n';
+              Buffer.add_string buf (Pretty.stmt_head_to_string st))
+            (Ast.stmts_of_method m))
+        (Ast.methods_of_program p))
+    sources;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_pinned_builtin () =
+  let sources = builtin_stage_sources () in
+  Alcotest.(check int) "stage sources" 68 (List.length sources);
+  Alcotest.(check string) "token stream" "ca2f274085c5b99a536aedd70a35edae"
+    (token_stream_digest sources);
+  Alcotest.(check string) "printed" "e8dbd044b150489914912db287982c5d" (printed_digest sources)
+
+let test_pinned_synth () =
+  let sources = synth_releases () in
+  Alcotest.(check int) "releases" 12 (List.length sources);
+  Alcotest.(check string) "token stream" "cceff1e2e3980acc7f8be1c207c91dbe"
+    (token_stream_digest sources);
+  Alcotest.(check string) "printed" "d4f8ca3e71fd34e6399ebcccc25e5516" (printed_digest sources)
+
+let test_pinned_edge () =
+  let sources = [ ("edge.mj", edge_source) ] in
+  Alcotest.(check string) "program" edge_printed
+    (Pretty.program_to_string (Parser.program edge_source));
+  Alcotest.(check string) "token stream" "69816bd715db5ffca4e1adb75f013424"
+    (token_stream_digest sources);
+  Alcotest.(check string) "printed" "680cf25ab199762a278c33679da425fd" (printed_digest sources)
+
+let test_string_literal_escaping () =
+  (* the printer quotes string literals exactly like [%S] *)
+  let all = String.init 256 Char.chr in
+  List.iter
+    (fun s ->
+      let e = { Ast.e = Ast.Str_lit s; eloc = Loc.dummy } in
+      Alcotest.(check string) (Printf.sprintf "%S" s) (Printf.sprintf "%S" s) (Pretty.expr_to_string e))
+    [ ""; "plain"; "a\"b\\c\nd\te\r"; all ]
+
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -465,6 +637,17 @@ let suite =
         Alcotest.test_case "string escapes" `Quick test_lexer_string_escapes;
         Alcotest.test_case "locations" `Quick test_lexer_locations;
         Alcotest.test_case "error location" `Quick test_lexer_error;
+        Alcotest.test_case "error messages" `Quick test_lexer_error_messages;
+        Alcotest.test_case "columns across crlf and tabs" `Quick test_lexer_columns;
+        Alcotest.test_case "integer literal range" `Quick test_lexer_int_range;
+        Alcotest.test_case "keywords" `Quick test_keywords;
+      ] );
+    ( "minilang.pins",
+      [
+        Alcotest.test_case "builtin stage sources" `Quick test_pinned_builtin;
+        Alcotest.test_case "synth 1x releases" `Quick test_pinned_synth;
+        Alcotest.test_case "edge program" `Quick test_pinned_edge;
+        Alcotest.test_case "string literal escaping" `Quick test_string_literal_escaping;
       ] );
     ( "minilang.parser",
       [

@@ -12,10 +12,7 @@ let isolated f () =
   Lisa.Chaos.reset_shared_state ();
   Fun.protect ~finally:Lisa.Chaos.reset_shared_state f
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec at i = i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1)) in
-  at 0
+let contains = Astring_contains.contains
 
 (* ------------------------------------------------------------------ *)
 (* Pool: per-slot error collection                                     *)

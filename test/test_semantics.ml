@@ -248,6 +248,21 @@ let test_dsl_errors () =
   expect_error "require y == 1" "outside a rule block";
   expect_error "rule x:\n  when calling f\n  require mapGet(a, b)" "predicate fragment"
 
+let test_dsl_int_out_of_range () =
+  (match Semantics.Dsl.parse_condition ~line:4 "x > 99999999999999999999" with
+  | _ -> Alcotest.fail "expected a parse error"
+  | exception Semantics.Dsl.Parse_error (m, line) ->
+      Alcotest.(check string) "message"
+        "bad condition \"x > 99999999999999999999\": integer literal out of range" m;
+      Alcotest.(check int) "line" 4 line);
+  match
+    Semantics.Dsl.parse "rule r:\n  when calling f\n  require x < 4611686018427387904"
+  with
+  | _ -> Alcotest.fail "expected a parse error"
+  | exception Semantics.Dsl.Parse_error (m, line) ->
+      Alcotest.(check bool) m true (Astring_contains.contains m "integer literal out of range");
+      Alcotest.(check int) "line" 3 line
+
 let test_dsl_rule_enforces () =
   (* a hand-written rule behaves exactly like a mined one *)
   let rules =
@@ -287,6 +302,7 @@ let suite =
         Alcotest.test_case "parse" `Quick test_dsl_parse;
         Alcotest.test_case "round-trip" `Quick test_dsl_roundtrip;
         Alcotest.test_case "errors" `Quick test_dsl_errors;
+        Alcotest.test_case "integer literal out of range" `Quick test_dsl_int_out_of_range;
         Alcotest.test_case "hand-written rule enforces" `Quick test_dsl_rule_enforces;
       ] );
   ]

@@ -18,14 +18,7 @@
    triage smoke (`make triage`), which requires the `triage.witness`
    replay span and the `counter:triage.tier.*` tier series. *)
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then false
-    else if String.sub haystack i nn = needle then true
-    else go (i + 1)
-  in
-  nn = 0 || go 0
+let contains = Diffing.Textutil.contains_sub
 
 let read_file path =
   let ic = open_in_bin path in
